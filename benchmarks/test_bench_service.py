@@ -56,10 +56,12 @@ def _faulted_soak():
         ring_events=65536,
         gate=gate,
         degradation=DegradationPolicy(degrade_after=0.5),
+        # Faults are wall-clock timed, so they must land inside the run:
+        # unfaulted, the whole run lasts about 0.3 s on a 2-core VM.
         faults=FaultPlan(
             faults=(
-                KillWorker(at=1.0, worker=0),
-                StallConsumer(at=5.0, duration=2.0),
+                KillWorker(at=0.05, worker=0),
+                StallConsumer(at=0.1, duration=2.0),
             )
         ),
     )

@@ -51,8 +51,10 @@ def main() -> None:
         ),
         faults=FaultPlan(
             faults=(
-                KillWorker(at=0.5, worker=0),
-                StallConsumer(at=2.5, duration=3.0),
+                # Wall-clock timed: the unfaulted run is over in well
+                # under a second.
+                KillWorker(at=0.05, worker=0),
+                StallConsumer(at=0.1, duration=3.0),
             )
         ),
     )

@@ -18,15 +18,17 @@ exactly the domain-knowledge dependence CPT-GPT removes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.generate import random_ue_id
-from ..statemachine.base import MachineSpec, MachineState, StateMachine
+from ..statemachine.base import MachineSpec, StateMachine
 from ..statemachine.lte import LTE_SPEC
 from ..trace.dataset import TraceDataset
+from ..trace.sampling import choice_cdf, is_distribution
 from ..trace.schema import ControlEvent, Stream
 
 __all__ = ["EmpiricalDistribution", "SemiMarkovModel", "SMM1Generator", "SMMClusteredGenerator"]
@@ -38,7 +40,8 @@ class EmpiricalDistribution:
 
     Samples are stored sorted; draws interpolate between order
     statistics, which matches how SMM models per-transition sojourn-time
-    CDFs without assuming a parametric family.
+    CDFs without assuming a parametric family.  ``samples`` is fixed
+    after construction: the interpolation grid is built once from it.
     """
 
     samples: np.ndarray
@@ -48,15 +51,13 @@ class EmpiricalDistribution:
         if samples.size == 0:
             raise ValueError("empirical distribution needs at least one sample")
         self.samples = np.sort(samples)
+        self._grid = np.linspace(0.0, 1.0, len(self.samples))
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Inverse-CDF draw(s) with linear interpolation."""
-        n = 1 if size is None else size
-        grid = np.linspace(0.0, 1.0, len(self.samples))
-        draws = np.interp(rng.random(n), grid, self.samples)
         if size is None:
-            return float(draws[0])
-        return draws
+            return float(np.interp(rng.random(), self._grid, self.samples))
+        return np.interp(rng.random(size), self._grid, self.samples)
 
     def cdf(self, values: np.ndarray) -> np.ndarray:
         """Empirical CDF evaluated at ``values``."""
@@ -70,7 +71,9 @@ class SemiMarkovModel:
 
     ``transition_probs[state]`` is the event-choice distribution in
     ``state``; ``dwell[(state, event)]`` is the empirical distribution of
-    the time spent in ``state`` before ``event`` fires.
+    the time spent in ``state`` before ``event`` fires.  The fitted
+    parameters are fixed after construction: the sampling tables of
+    :meth:`generate_stream` are built once from them.
     """
 
     spec: MachineSpec
@@ -78,6 +81,30 @@ class SemiMarkovModel:
     dwell: dict[tuple[str, str], EmpiricalDistribution]
     initial_states: dict[str, float]
     weight: int = 0  # number of UEs this model was fitted on
+
+    def __post_init__(self) -> None:
+        for state, menu in self.transition_probs.items():
+            if menu and not is_distribution(menu.values()):
+                raise ValueError(f"transition probabilities of {state} must sum to 1")
+        if not is_distribution(self.initial_states.values()):
+            raise ValueError("initial-state probabilities must sum to 1")
+        # Sampling tables: entry (top, sub) states with their choice cdf,
+        # then per top-level state its menu of (events, cdf, dwell
+        # distributions); states without a menu are absorbing.
+        self._starts = [
+            _state_for_top(self.spec, top) for top in self.initial_states
+        ]
+        self._start_cdf = choice_cdf(self.initial_states.values())
+        self._menus = {
+            state: (
+                tuple(menu),
+                choice_cdf(menu.values()),
+                tuple(self.dwell.get((state, event)) for event in menu),
+            )
+            for state, menu in self.transition_probs.items()
+            if menu
+        }
+        self._steps = self.spec.transition_table()
 
     # ------------------------------------------------------------------
     # Fitting
@@ -153,44 +180,43 @@ class SemiMarkovModel:
         start_time: float = 0.0,
     ) -> Stream:
         """Walk the semi-Markov model for ``duration`` seconds."""
-        states = list(self.initial_states)
-        probs = np.array([self.initial_states[s] for s in states])
-        top = states[rng.choice(len(states), p=probs)]
-        machine = StateMachine(self.spec, _state_for_top(self.spec, top))
+        top, sub = self._starts[bisect_right(self._start_cdf, rng.random())]
+        menus = self._menus
+        steps = self._steps
 
         events: list[ControlEvent] = []
         t = start_time
         end = start_time + duration
         while True:
-            state = machine.state.top
-            menu = self.transition_probs.get(state)
-            if not menu:
+            menu = menus.get(top)
+            if menu is None:
                 break  # absorbing state in the fitted data
-            names = list(menu)
-            event = names[rng.choice(len(names), p=np.array([menu[n] for n in names]))]
-            dist = self.dwell.get((state, event))
+            names, cdf, dists = menu
+            k = bisect_right(cdf, rng.random())
+            event, dist = names[k], dists[k]
             if dist is None:
                 break
             t += max(dist.sample(rng), 0.0)
             if t >= end:
                 break
-            legal = machine.step(event)
-            if not legal:  # pragma: no cover - transitions fitted from replay
-                raise RuntimeError(f"fitted SMM produced illegal event {event} in {state}")
+            landing = steps.get((top, sub, event))
+            if landing is None:  # pragma: no cover - transitions fitted from replay
+                raise RuntimeError(f"fitted SMM produced illegal event {event} in {top}")
+            top, sub = landing
             events.append(ControlEvent(timestamp=t, event=event))
         return Stream(ue_id=random_ue_id(rng), device_type=device_type, events=events)
 
 
-def _state_for_top(spec: MachineSpec, top: str) -> MachineState:
-    """An entry sub-state for ``top`` (first declared sub-state)."""
+def _state_for_top(spec: MachineSpec, top: str) -> tuple[str, str]:
+    """An entry ``(top, sub)`` state for ``top`` (first declared sub-state)."""
     subs = spec.sub_states[top]
     # Prefer the service-request sub-state when present: generation
     # mirrors a UE that most recently ran a data session.
     preferred = ("SRV_REQ_S", "S1_REL_S_1", "AN_REL_S", "DEREG_S")
     for name in preferred:
         if name in subs:
-            return MachineState(top, name)
-    return MachineState(top, subs[0])
+            return top, name
+    return top, subs[0]
 
 
 @dataclass

@@ -102,6 +102,21 @@ class MachineSpec:
             if state not in self.top_states:
                 raise ValueError(f"sojourn state {state!r} not a top-level state")
 
+    def transition_table(self) -> dict[tuple[str, str, str], tuple[str, str]]:
+        """Flat ``(top, sub, event) -> (new_top, new_sub)`` view of the transitions.
+
+        A missing key is a violation, exactly as :meth:`StateMachine.step`
+        judges it.  Table-driven walkers build this once and step with one
+        dict lookup instead of a machine per stream.
+        """
+        table: dict[tuple[str, str, str], tuple[str, str]] = {}
+        for (top, event), (new_top, new_sub) in self.transitions.items():
+            for sub in self.sub_states[top]:
+                landing = new_sub.get(sub) if isinstance(new_sub, dict) else new_sub
+                if landing is not None:
+                    table[(top, sub, event)] = (new_top, landing)
+        return table
+
 
 class StateMachine:
     """Executable instance of a :class:`MachineSpec`.

@@ -22,11 +22,13 @@ profiles land.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diurnal import DiurnalProfile, Harmonic
+from .sampling import SUM_TOLERANCE, choice_cdf, is_distribution
 from .schema import DeviceType
 
 __all__ = ["LogNormalMixture", "DeviceProfile", "DEVICE_PROFILES", "get_profile"]
@@ -43,23 +45,31 @@ class LogNormalMixture:
     components: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        total = sum(w for w, _, _ in self.components)
-        if not np.isclose(total, 1.0):
-            raise ValueError(f"mixture weights must sum to 1; got {total}")
+        weights = [w for w, _, _ in self.components]
+        if not is_distribution(weights):
+            raise ValueError(
+                f"mixture weights must be non-negative and sum to 1 "
+                f"(within {SUM_TOLERANCE:.1e}); got {weights}"
+            )
         if any(sigma <= 0 for _, _, sigma in self.components):
             raise ValueError("mixture sigmas must be positive")
+        # Sampling tables, built once: the mixture is frozen.
+        object.__setattr__(self, "_weights", np.array(weights))
+        object.__setattr__(self, "_cdf", choice_cdf(weights))
+        object.__setattr__(self, "_mus", np.array([m for _, m, _ in self.components]))
+        object.__setattr__(self, "_sigmas", np.array([s for _, _, s in self.components]))
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
-        """Draw samples; scalar when ``size`` is None."""
-        n = 1 if size is None else size
-        weights = np.array([w for w, _, _ in self.components])
-        choices = rng.choice(len(self.components), size=n, p=weights)
-        mus = np.array([m for _, m, _ in self.components])[choices]
-        sigmas = np.array([s for _, _, s in self.components])[choices]
-        values = np.exp(rng.normal(mus, sigmas))
+        """Draw samples; scalar when ``size`` is None.
+
+        Both paths consume the RNG identically: one component draw, then
+        one normal draw, per sample.
+        """
         if size is None:
-            return float(values[0])
-        return values
+            k = bisect_right(self._cdf, rng.random())
+            return float(np.exp(rng.normal(self._mus[k], self._sigmas[k])))
+        choices = rng.choice(len(self.components), size=size, p=self._weights)
+        return np.exp(rng.normal(self._mus[choices], self._sigmas[choices]))
 
     def mean(self) -> float:
         """Analytical mixture mean: ``sum w * exp(mu + sigma^2 / 2)``."""
@@ -101,16 +111,16 @@ class DeviceProfile:
     diurnal: DiurnalProfile = field(default_factory=DiurnalProfile.flat)
 
     def __post_init__(self) -> None:
-        connected = (
-            self.p_ho + self.p_tau_connected + self.p_release + self.p_detach_connected
-        )
-        idle = self.p_service_request + self.p_tau_idle + self.p_detach_idle
-        if not np.isclose(connected, 1.0):
-            raise ValueError(f"{self.name}: CONNECTED event probabilities sum to {connected}")
-        if not np.isclose(idle, 1.0):
-            raise ValueError(f"{self.name}: IDLE event probabilities sum to {idle}")
-        if not np.isclose(sum(self.start_state_probs), 1.0):
-            raise ValueError(f"{self.name}: start-state probabilities must sum to 1")
+        for label, probs in (
+            ("CONNECTED event", [p for _, p in self.connected_event_menu()]),
+            ("IDLE event", [p for _, p in self.idle_event_menu()]),
+            ("start-state", list(self.start_state_probs)),
+        ):
+            if not is_distribution(probs):
+                raise ValueError(
+                    f"{self.name}: {label} probabilities must be non-negative "
+                    f"and sum to 1 (within {SUM_TOLERANCE:.1e}); got {probs}"
+                )
 
     def connected_event_menu(self) -> tuple[tuple[str, float], ...]:
         return (

@@ -7,6 +7,7 @@ time-ordered sequence of ``(timestamp, event)`` samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -39,7 +40,7 @@ class ControlEvent:
     event: str
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.timestamp):
+        if not math.isfinite(self.timestamp):
             raise ValueError(f"non-finite timestamp: {self.timestamp}")
 
 

@@ -19,16 +19,17 @@ diversity from raw streams — is therefore the same as on the real trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..statemachine.base import MachineState, StateMachine
 from ..statemachine.events import LTE_EVENTS, NR_EVENTS
 from ..statemachine.lte import CONNECTED, DEREGISTERED, IDLE, LTE_SPEC
 from ..statemachine.nr import NR_SPEC
 from .dataset import TraceDataset
 from .device import DeviceProfile, get_profile
+from .sampling import choice_cdf
 from .schema import ControlEvent, DeviceType, Stream
 
 __all__ = ["SyntheticTraceConfig", "generate_trace", "generate_mixed_trace", "generate_hourly_traces"]
@@ -106,43 +107,37 @@ class SyntheticTraceConfig:
             raise ValueError("time_resolution must be non-negative")
 
 
-@dataclass
-class _UEState:
-    """Latent per-UE parameters drawn once per stream."""
+class _WalkTables:
+    """Sampling tables of one profile's walk, built once per trace.
 
-    idle_multiplier: float
-    connected_multiplier: float
-    machine: StateMachine
+    Holds the start-state table, each top-level state's event menu
+    (already translated, with TAU dropped in 5G) and the flat transition
+    table, so :func:`_simulate_stream` draws every event with one
+    ``bisect_right`` and steps with one dict lookup.  The dwell-time
+    mixtures carry their own tables.
+    """
 
-
-def _spawn_ue(
-    profile: DeviceProfile, technology: str, rng: np.random.Generator
-) -> _UEState:
-    idle_mult = float(np.exp(rng.normal(0.0, profile.ue_idle_sigma)))
-    conn_mult = float(np.exp(rng.normal(0.0, profile.ue_connected_sigma)))
-    start_names = (DEREGISTERED, CONNECTED, IDLE)
-    start = rng.choice(3, p=np.asarray(profile.start_state_probs))
-    top, sub = _START_SUBS[technology][start_names[start]]
-    spec = LTE_SPEC if technology == "4G" else NR_SPEC
-    machine = StateMachine(spec, MachineState(top, sub))
-    return _UEState(idle_mult, conn_mult, machine)
-
-
-def _translate(event: str, technology: str) -> str:
-    if technology == "4G":
-        return event
-    return _NR_EVENT_MAP[event]
+    def __init__(self, profile: DeviceProfile, technology: str) -> None:
+        spec = LTE_SPEC if technology == "4G" else NR_SPEC
+        subs = _START_SUBS[technology]
+        self.starts = tuple(subs[name] for name in (DEREGISTERED, CONNECTED, IDLE))
+        self.start_cdf = choice_cdf(profile.start_state_probs)
+        self.connected = spec.connected_state
+        self.idle = spec.idle_state
+        self.connected_menu = _menu_table(profile.connected_event_menu(), technology)
+        self.idle_menu = _menu_table(profile.idle_event_menu(), technology)
+        self.deregistered_menu = _menu_table((("ATCH", 1.0),), technology)
+        self.steps = spec.transition_table()
 
 
-def _pick_event(
-    menu: tuple[tuple[str, float], ...],
-    technology: str,
-    rng: np.random.Generator,
-) -> str:
-    """Choose the next event from a state's menu.
+def _menu_table(
+    menu: tuple[tuple[str, float], ...], technology: str
+) -> tuple[tuple[str, ...], list[float]]:
+    """A state's event menu as ``(event names, choice cdf)``.
 
     In 5G mode, TAU is removed and its probability mass renormalized over
-    the remaining menu entries.
+    the remaining menu entries; names are translated to the NR
+    vocabulary.
     """
     names = [name for name, _ in menu]
     probs = np.array([p for _, p in menu], dtype=np.float64)
@@ -151,23 +146,27 @@ def _pick_event(
         names = [names[i] for i in keep]
         probs = probs[keep]
         probs = probs / probs.sum()
-    choice = rng.choice(len(names), p=probs)
-    return names[choice]
+    if technology == "5G":
+        names = [_NR_EVENT_MAP[name] for name in names]
+    return tuple(names), choice_cdf(probs)
 
 
 def _simulate_stream(
     ue_id: str,
     profile: DeviceProfile,
+    tables: _WalkTables,
     config: SyntheticTraceConfig,
     rng: np.random.Generator,
 ) -> Stream:
-    ue = _spawn_ue(profile, config.technology, rng)
+    # Latent per-UE parameters, then the start state.
+    idle_mult = float(np.exp(rng.normal(0.0, profile.ue_idle_sigma)))
+    conn_mult = float(np.exp(rng.normal(0.0, profile.ue_connected_sigma)))
+    top, sub = tables.starts[bisect_right(tables.start_cdf, rng.random())]
+
     window_start = config.hour * _SECONDS_PER_HOUR
     window_end = window_start + config.duration
-
-    spec = ue.machine.spec
-    connected = spec.connected_state
-    idle = spec.idle_state
+    resolution = config.time_resolution
+    steps = tables.steps
 
     events: list[ControlEvent] = []
     t = window_start
@@ -175,35 +174,31 @@ def _simulate_stream(
     # fraction so UEs are not phase-synchronized at the window edge.
     first = True
     while True:
-        top = ue.machine.state.top
-        hour_now = (t / _SECONDS_PER_HOUR) % 24.0
-        activity = profile.diurnal.activity(hour_now)
-        if top == connected:
-            dwell = profile.connected_dwell.sample(rng) * ue.connected_multiplier
-            menu = profile.connected_event_menu()
-        elif top == idle:
+        if top == tables.connected:
+            dwell = profile.connected_dwell.sample(rng) * conn_mult
+            names, cdf = tables.connected_menu
+        elif top == tables.idle:
             # Busier hours shorten idle dwells (more sessions per hour).
-            dwell = profile.idle_dwell.sample(rng) * ue.idle_multiplier / activity
-            menu = profile.idle_event_menu()
+            activity = profile.diurnal.activity((t / _SECONDS_PER_HOUR) % 24.0)
+            dwell = profile.idle_dwell.sample(rng) * idle_mult / activity
+            names, cdf = tables.idle_menu
         else:
             dwell = profile.deregistered_dwell.sample(rng)
-            menu = (("ATCH", 1.0),)
+            names, cdf = tables.deregistered_menu
         if first:
             dwell *= float(rng.uniform(0.0, 1.0))
             first = False
         t += dwell
         if t >= window_end:
             break
-        raw_event = _pick_event(menu, config.technology, rng)
-        event = _translate(raw_event, config.technology)
-        legal = ue.machine.step(event)
-        if not legal:  # pragma: no cover - guarded by construction
-            raise RuntimeError(
-                f"simulator bug: illegal event {event} in state {ue.machine.state}"
-            )
+        event = names[bisect_right(cdf, rng.random())]
+        landing = steps.get((top, sub, event))
+        if landing is None:  # pragma: no cover - guarded by construction
+            raise RuntimeError(f"simulator bug: illegal event {event} in state {top}/{sub}")
+        top, sub = landing
         recorded = t
-        if config.time_resolution > 0:
-            recorded = (t // config.time_resolution) * config.time_resolution
+        if resolution > 0:
+            recorded = (t // resolution) * resolution
         events.append(ControlEvent(timestamp=recorded, event=event))
 
     return Stream(ue_id=ue_id, device_type=profile.name, events=events)
@@ -212,6 +207,7 @@ def _simulate_stream(
 def generate_trace(config: SyntheticTraceConfig) -> TraceDataset:
     """Simulate one capture window for a single device type."""
     profile = get_profile(config.device_type)
+    tables = _WalkTables(profile, config.technology)
     root = np.random.default_rng(config.seed)
     seeds = root.integers(0, 2**63 - 1, size=config.num_ues)
     streams = []
@@ -221,7 +217,7 @@ def generate_trace(config: SyntheticTraceConfig) -> TraceDataset:
     for i in range(config.num_ues):
         ue_rng = np.random.default_rng(seeds[i])
         ue_id = f"{config.device_type}-{config.hour:02d}h-{capture}-{i:06d}"
-        streams.append(_simulate_stream(ue_id, profile, config, ue_rng))
+        streams.append(_simulate_stream(ue_id, profile, tables, config, ue_rng))
     vocabulary = LTE_EVENTS if config.technology == "4G" else NR_EVENTS
     return TraceDataset(streams=streams, vocabulary=vocabulary)
 
