@@ -11,7 +11,7 @@ import pytest
 
 from repro.statemachine import LTE_SPEC, NR_SPEC, MachineState, StateMachine
 from repro.trace import LogNormalMixture, get_profile
-from repro.trace.sampling import SUM_TOLERANCE, choice_cdf, is_distribution
+from repro.trace.sampling import choice_cdf, is_distribution
 
 
 def _choice_accepts(probs) -> bool:
@@ -58,9 +58,6 @@ class TestChoiceTable:
         assert not is_distribution(probs)
         if probs:
             assert not _choice_accepts(probs)
-
-    def test_tolerance_is_sqrt_eps(self):
-        assert SUM_TOLERANCE == pytest.approx(np.sqrt(np.finfo(np.float64).eps))
 
 
 class TestConstructionTolerance:
